@@ -541,6 +541,12 @@ func (s *server) onPublish(topic string, payload []byte) {
 	}
 }
 
+// sendControl publishes a control message to one device. It runs inline on
+// the broker's connection goroutine that read the device's message, with no
+// lock held: the broker re-enters OnPublish for the control topic, which
+// matches neither accepted shape. On that goroutine the connection's writer
+// is corked, so an ack to a device on the same connection leaves in the
+// same write(2) as the broker's PUBACK for the report.
 func (s *server) sendControl(deviceID string, msg protocol.Message) {
 	payload, err := protocol.Encode(msg)
 	if err != nil {
@@ -553,12 +559,6 @@ func (s *server) sendControl(deviceID string, msg protocol.Message) {
 	}
 }
 
-// sendControlAsync publishes off the caller's lock (the broker has its own
-// locking and may call back into OnPublish).
-func (s *server) sendControlAsync(deviceID string, msg protocol.Message) {
-	go s.sendControl(deviceID, msg)
-}
-
 func (s *server) handleRegister(reg protocol.Register) {
 	sh := s.shardFor(reg.DeviceID)
 	sh.mu.Lock()
@@ -568,7 +568,7 @@ func (s *server) handleRegister(reg protocol.Register) {
 			Slot: m.slot, Tmeasure: s.tmeasure,
 		}
 		sh.mu.Unlock()
-		s.sendControlAsync(reg.DeviceID, ack)
+		s.sendControl(reg.DeviceID, ack)
 		return
 	}
 	sh.mu.Unlock()
@@ -576,7 +576,7 @@ func (s *server) handleRegister(reg protocol.Register) {
 	s.admitMu.Lock()
 	if int(s.members.Load()) >= s.slots {
 		s.admitMu.Unlock()
-		s.sendControlAsync(reg.DeviceID, protocol.RegisterNack{
+		s.sendControl(reg.DeviceID, protocol.RegisterNack{
 			DeviceID: reg.DeviceID, Reason: "no free time-slots",
 		})
 		return
@@ -615,7 +615,7 @@ func (s *server) handleRegister(reg protocol.Register) {
 		sh.mu.Unlock()
 		s.logger.Printf("registered %s (%s, slot %d)", reg.DeviceID, kind, m.slot)
 	}
-	s.sendControlAsync(reg.DeviceID, protocol.RegisterAck{
+	s.sendControl(reg.DeviceID, protocol.RegisterAck{
 		DeviceID: reg.DeviceID, Kind: m.kind, AggregatorID: s.id,
 		Slot: m.slot, Tmeasure: s.tmeasure,
 	})
@@ -636,7 +636,7 @@ func (s *server) handleReport(rep protocol.Report) {
 		if s.mNacked != nil {
 			s.mNacked.Inc()
 		}
-		s.sendControlAsync(rep.DeviceID, protocol.ReportNack{
+		s.sendControl(rep.DeviceID, protocol.ReportNack{
 			DeviceID: rep.DeviceID, Seq: aggregator.MaxSeq(rep.Measurements), Reason: "not a member",
 		})
 		return
@@ -680,7 +680,7 @@ func (s *server) handleReport(rep protocol.Report) {
 		s.tracer.ObserveStage(telemetry.StageShardIngest, ingestStart, time.Since(ingestStart))
 	}
 	if len(rep.Measurements) > 0 {
-		s.sendControlAsync(rep.DeviceID, protocol.ReportAck{
+		s.sendControl(rep.DeviceID, protocol.ReportAck{
 			DeviceID: rep.DeviceID,
 			Seq:      maxSeq,
 		})

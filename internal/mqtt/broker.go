@@ -1,6 +1,7 @@
 package mqtt
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -30,10 +31,6 @@ type Broker struct {
 	closed   bool
 	ln       net.Listener
 	wg       sync.WaitGroup
-
-	// stats
-	packetsIn  uint64
-	packetsOut uint64
 
 	// store journals durable session state when SessionPath is set; nil
 	// otherwise (sessions die with the process, as before).
@@ -124,8 +121,10 @@ type session struct {
 	// at attach/restore, before the session is reachable from the trie.
 	durable bool
 
-	mu     sync.Mutex
-	conn   net.Conn
+	mu sync.Mutex
+	// out is the live connection's writer; nil while the session is
+	// detached. A takeover swaps in the new connection's writer.
+	out    *connWriter
 	subs   map[string]QoS // filter -> granted QoS
 	nextID uint16
 	// inflight QoS>=1 messages to this client, by packet id. Values, not
@@ -138,15 +137,74 @@ type session struct {
 	// incomingQoS2 dedupes QoS2 publishes from this client.
 	incomingQoS2 map[uint16]bool
 
-	// writeMu serializes packet writes (so concurrent deliveries cannot
-	// interleave on the connection) and guards wbuf, the reused encode
-	// buffer that keeps the steady-state fan-out allocation-free.
-	writeMu sync.Mutex
-	wbuf    []byte
+	will *PublishPacket
+}
 
-	will      *PublishPacket
-	keepAlive time.Duration
-	closed    bool
+// Per-connection buffer sizes. readBufSize is the bufio.Reader that serves
+// a burst of pipelined inbound packets from one read(2); writeFlushSize is
+// how many encoded bytes a corked connection holds before writing them out
+// anyway. Both stay small because a device fleet holds one connection per
+// device.
+const (
+	readBufSize    = 4 << 10
+	writeFlushSize = 4 << 10
+)
+
+// connWriter is one connection's outbound side. It serializes packet
+// writes, so concurrent deliveries cannot interleave on the socket, and
+// encodes them into a reused buffer, so the steady-state fan-out allocates
+// nothing. While the connection's read loop dispatches a burst of buffered
+// inbound packets it corks the writer: every reply and delivery the burst
+// produces is appended, and all of it leaves in one write(2) when the burst
+// is drained. Bytes encoded here only ever go to conn; a session taken over
+// by a new connection gets a new connWriter, so nothing pending for the old
+// socket can land on its successor's.
+type connWriter struct {
+	conn   net.Conn
+	mu     sync.Mutex
+	buf    []byte
+	corked bool
+}
+
+// write encodes p and sends it, unless the writer is corked and the buffer
+// is still under writeFlushSize.
+func (w *connWriter) write(p Packet) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	buf, err := p.encode(w.buf)
+	if err != nil {
+		return err
+	}
+	w.buf = buf
+	if w.corked && len(w.buf) < writeFlushSize {
+		return nil
+	}
+	return w.flushLocked()
+}
+
+// cork holds later writes in the buffer until uncork.
+func (w *connWriter) cork() {
+	w.mu.Lock()
+	w.corked = true
+	w.mu.Unlock()
+}
+
+// uncork sends whatever the buffer holds and lets later writes go straight
+// through.
+func (w *connWriter) uncork() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.corked = false
+	return w.flushLocked()
+}
+
+func (w *connWriter) flushLocked() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	_, err := w.conn.Write(w.buf)
+	w.buf = w.buf[:0]
+	return err
 }
 
 // ListenAndServe listens on addr and serves until Close.
@@ -255,9 +313,12 @@ func (b *Broker) logf(format string, args ...any) {
 
 func (b *Broker) handleConn(conn net.Conn) {
 	defer conn.Close()
+	// One buffered reader serves CONNECT and the read loop, so packets a
+	// client pipelines behind its CONNECT are kept.
+	rd := bufio.NewReaderSize(conn, readBufSize)
 	// The first packet must be CONNECT, within a short deadline.
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	pkt, err := ReadPacket(conn)
+	pkt, err := ReadPacket(rd)
 	if err != nil {
 		b.logf("mqtt: pre-connect read: %v", err)
 		return
@@ -279,13 +340,13 @@ func (b *Broker) handleConn(conn net.Conn) {
 		return
 	}
 
-	s, sessionPresent := b.attachSession(connect, conn)
+	// The writer starts corked: the CONNACK, the redelivery backlog and the
+	// replies to any pipelined packets leave together on the read loop's
+	// first flush.
+	out := &connWriter{conn: conn, corked: true}
+	s, sessionPresent := b.attachSession(connect, out)
 	if s == nil {
 		writePacket(conn, &ConnackPacket{ReturnCode: ConnRefusedUnavailable})
-		return
-	}
-	if err := s.write(&ConnackPacket{SessionPresent: sessionPresent, ReturnCode: ConnAccepted}); err != nil {
-		s.close()
 		return
 	}
 	if sessionPresent && b.mResumes != nil {
@@ -294,13 +355,14 @@ func (b *Broker) handleConn(conn net.Conn) {
 	// Redeliver inflight QoS>=1 messages for resumed sessions — onto this
 	// connection specifically, so a takeover racing the drain cannot leak
 	// duplicates onto the successor's connection.
-	s.redeliver(conn)
+	s.redeliver(out)
 
 	if b.mSessions != nil {
 		b.mSessions.Add(1)
 		defer b.mSessions.Add(-1)
 	}
-	_ = b.readLoop(s, conn)
+	keepAlive := time.Duration(connect.KeepAliveSec) * time.Second
+	_ = b.readLoop(s, rd, out, keepAlive)
 	// A clean DISCONNECT clears the will inside readLoop; any other way
 	// out of the loop (EOF from a dead peer, timeout, protocol error,
 	// session takeover) is an abnormal termination and publishes it
@@ -312,13 +374,15 @@ func (b *Broker) handleConn(conn net.Conn) {
 	if will != nil {
 		b.route(will, nil)
 	}
-	b.detachSession(s, conn)
+	b.detachSession(s, out)
 }
 
 // attachSession creates or resumes the session for a CONNECT, handling
 // session takeover (a second CONNECT with the same client ID boots the
-// first connection, per spec 3.1.4).
-func (b *Broker) attachSession(c *ConnectPacket, conn net.Conn) (*session, bool) {
+// first connection, per spec 3.1.4). It queues the CONNACK on out, which
+// must be corked, before out becomes reachable from the session, so no
+// delivery can precede it on the wire.
+func (b *Broker) attachSession(c *ConnectPacket, out *connWriter) (*session, bool) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -371,13 +435,13 @@ func (b *Broker) attachSession(c *ConnectPacket, conn net.Conn) (*session, bool)
 		b.mu.Unlock()
 	}
 	s.mu.Lock()
-	if existed && old == s && s.conn != nil {
+	if existed && old == s && s.out != nil {
 		// Takeover of a live resumed session: boot the previous conn.
-		s.conn.Close()
+		s.out.conn.Close()
 	}
-	s.conn = conn
-	s.closed = false
-	s.keepAlive = time.Duration(c.KeepAliveSec) * time.Second
+	// Corked, so this only encodes a few bytes under s.mu.
+	_ = out.write(&ConnackPacket{SessionPresent: present, ReturnCode: ConnAccepted})
+	s.out = out
 	if c.WillTopic != "" {
 		s.will = &PublishPacket{Topic: c.WillTopic, Payload: c.WillMessage, QoS: c.WillQoS, Retain: c.WillRetain}
 	} else {
@@ -387,30 +451,40 @@ func (b *Broker) attachSession(c *ConnectPacket, conn net.Conn) (*session, bool)
 	return s, present
 }
 
-func (b *Broker) detachSession(s *session, conn net.Conn) {
+func (b *Broker) detachSession(s *session, out *connWriter) {
 	s.mu.Lock()
-	if s.conn == conn {
-		s.conn = nil
+	if s.out == out {
+		s.out = nil
 	}
 	s.mu.Unlock()
 }
 
 // readLoop processes packets from one connection until error/DISCONNECT.
-func (b *Broker) readLoop(s *session, conn net.Conn) error {
+// While rd holds whole packets they are dispatched with out corked, so
+// their replies, and anything delivered to this connection meanwhile, are
+// coalesced; before any read that may block, out is flushed and the
+// keepalive deadline is renewed. keepAlive is this connection's own
+// CONNECT value: a takeover does not change it.
+func (b *Broker) readLoop(s *session, rd *bufio.Reader, out *connWriter, keepAlive time.Duration) error {
+	defer out.uncork()
+	conn := out.conn
 	for {
-		if s.keepAlive > 0 {
-			grace := time.Duration(float64(s.keepAlive) * b.opts.KeepAliveGrace)
-			conn.SetReadDeadline(time.Now().Add(grace))
-		} else {
-			conn.SetReadDeadline(time.Time{})
+		if !packetBuffered(rd) {
+			if err := out.uncork(); err != nil {
+				return err
+			}
+			if keepAlive > 0 {
+				grace := time.Duration(float64(keepAlive) * b.opts.KeepAliveGrace)
+				conn.SetReadDeadline(time.Now().Add(grace))
+			} else {
+				conn.SetReadDeadline(time.Time{})
+			}
 		}
-		pkt, err := ReadPacket(conn)
+		pkt, err := ReadPacket(rd)
 		if err != nil {
 			return err
 		}
-		b.mu.Lock()
-		b.packetsIn++
-		b.mu.Unlock()
+		out.cork()
 		switch p := pkt.(type) {
 		case *PublishPacket:
 			if err := b.handlePublish(s, p); err != nil {
@@ -722,41 +796,16 @@ func (b *Broker) SessionJournalErr() error {
 // because detached persistent sessions are routine on the fan-out path.
 var errNotConnected = errors.New("mqtt: session not connected")
 
-// write serializes and sends one packet, thread-safe. The connection check
-// runs first (a detached persistent session skips encoding entirely) and
-// encoding reuses the session's write buffer, so the steady-state fan-out
-// path allocates nothing.
+// write sends one packet on the session's live connection, thread-safe. A
+// detached persistent session skips encoding entirely.
 func (s *session) write(p Packet) error {
 	s.mu.Lock()
-	conn := s.conn
+	out := s.out
 	s.mu.Unlock()
-	if conn == nil {
+	if out == nil {
 		return errNotConnected
 	}
-	return s.writeTo(conn, p)
-}
-
-// writeTo serializes and sends one packet onto a specific connection. A
-// redelivery drain holds the connection it started on: if a takeover swaps
-// s.conn mid-drain, its writes land on the doomed old socket (and fail
-// there) instead of duplicating onto the successor's connection.
-func (s *session) writeTo(conn net.Conn, p Packet) error {
-	s.writeMu.Lock()
-	buf, err := p.encode(s.wbuf[:0])
-	if err != nil {
-		s.writeMu.Unlock()
-		return err
-	}
-	s.wbuf = buf
-	_, err = conn.Write(buf)
-	s.writeMu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.broker.mu.Lock()
-	s.broker.packetsOut++
-	s.broker.mu.Unlock()
-	return nil
+	return out.write(p)
 }
 
 // deliver sends an application message to this session's client, allocating
@@ -806,9 +855,11 @@ func (s *session) ackOutbound(id uint16, rec bool) {
 }
 
 // redeliver resends inflight messages after a session resume, writing them
-// onto conn (the connection whose CONNACK announced the resume) so a
-// concurrent takeover's fresher drain cannot be double-delivered onto.
-func (s *session) redeliver(conn net.Conn) {
+// onto out (the connection whose CONNACK announced the resume): if a
+// takeover swaps the session's connection mid-drain, the rest of the drain
+// lands on the doomed old socket (and fails there) instead of duplicating
+// onto the successor's connection.
+func (s *session) redeliver(out *connWriter) {
 	s.mu.Lock()
 	pending := make([]PublishPacket, 0, len(s.outbound))
 	for _, p := range s.outbound {
@@ -831,27 +882,28 @@ func (s *session) redeliver(conn net.Conn) {
 	sort.Slice(pending, func(i, j int) bool { return pending[i].PacketID < pending[j].PacketID })
 	sort.Slice(rels, func(i, j int) bool { return rels[i] < rels[j] })
 	for i := range pending {
-		_ = s.writeTo(conn, &pending[i])
+		_ = out.write(&pending[i])
 	}
 	for _, id := range rels {
-		_ = s.writeTo(conn, NewPubrel(id))
+		_ = out.write(NewPubrel(id))
 	}
-}
-
-func (s *session) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
 }
 
 func (s *session) close() {
 	s.mu.Lock()
-	s.closed = true
-	conn := s.conn
+	out := s.out
 	s.mu.Unlock()
-	if conn != nil {
-		conn.Close()
+	if out != nil {
+		out.conn.Close()
 	}
+}
+
+// packetBuffered reports whether rd already holds one whole packet, so the
+// next ReadPacket is served from memory and cannot block on the network.
+func packetBuffered(rd *bufio.Reader) bool {
+	b, _ := rd.Peek(rd.Buffered())
+	_, _, err := packetExtent(b)
+	return err == nil
 }
 
 func writePacket(w io.Writer, p Packet) error {

@@ -46,6 +46,8 @@ func TestMeteringOverRealMQTT(t *testing.T) {
 	const aggID = "agg1"
 
 	// Aggregator side: membership map + records, fed by the broker hook.
+	// Like meterd, it answers each message inline on the goroutine that
+	// delivered it, so the device sees its acks in report order.
 	var mu sync.Mutex
 	members := map[string]bool{}
 	var records []protocol.Measurement
@@ -73,7 +75,7 @@ func TestMeteringOverRealMQTT(t *testing.T) {
 				mu.Lock()
 				members[m.DeviceID] = true
 				mu.Unlock()
-				go aggControl(m.DeviceID, protocol.RegisterAck{
+				aggControl(m.DeviceID, protocol.RegisterAck{
 					DeviceID: m.DeviceID, Kind: protocol.MemberMaster,
 					AggregatorID: aggID, Slot: 0, Tmeasure: 50 * time.Millisecond,
 				})
@@ -85,10 +87,10 @@ func TestMeteringOverRealMQTT(t *testing.T) {
 				}
 				mu.Unlock()
 				if !known {
-					go aggControl(m.DeviceID, protocol.ReportNack{DeviceID: m.DeviceID, Reason: "not a member"})
+					aggControl(m.DeviceID, protocol.ReportNack{DeviceID: m.DeviceID, Reason: "not a member"})
 					return
 				}
-				go aggControl(m.DeviceID, protocol.ReportAck{
+				aggControl(m.DeviceID, protocol.ReportAck{
 					DeviceID: m.DeviceID,
 					Seq:      m.Measurements[len(m.Measurements)-1].Seq,
 				})

@@ -701,7 +701,8 @@ func Encode(p Packet) ([]byte, error) {
 	return p.encode(nil)
 }
 
-// byteReaderFromReader gives decodeRemainingLength a one-byte reader view.
+// oneByteReader gives decodeRemainingLength a one-byte reader view of a
+// reader that has no ReadByte of its own.
 type oneByteReader struct{ r io.Reader }
 
 func (o oneByteReader) ReadByte() (byte, error) {
@@ -710,9 +711,14 @@ func (o oneByteReader) ReadByte() (byte, error) {
 	return b[0], err
 }
 
-// ReadPacket reads one full packet from r.
+// ReadPacket reads one full packet from r. A reader that is also an
+// io.ByteReader (a *bufio.Reader) serves the fixed header and the length
+// from its own buffer; any other reader is read one byte at a time.
 func ReadPacket(r io.Reader) (Packet, error) {
-	br := oneByteReader{r}
+	br, ok := r.(io.ByteReader)
+	if !ok {
+		br = oneByteReader{r}
+	}
 	first, err := br.ReadByte()
 	if err != nil {
 		return nil, err
@@ -734,15 +740,27 @@ func ReadPacket(r io.Reader) (Packet, error) {
 // Decode parses one packet from a byte slice, returning it and the number of
 // bytes consumed.
 func Decode(b []byte) (Packet, int, error) {
-	if len(b) < 2 {
-		return nil, 0, io.ErrUnexpectedEOF
+	idx, n, err := packetExtent(b)
+	if err != nil {
+		return nil, 0, err
 	}
-	first := b[0]
+	p, err := decodePacket(b[0], b[idx:idx+n])
+	return p, idx + n, err
+}
+
+// packetExtent parses the fixed header at the start of b and returns where
+// the body starts and how long it is; io.ErrUnexpectedEOF means b does not
+// yet hold the whole packet.
+func packetExtent(b []byte) (idx, n int, err error) {
+	if len(b) < 2 {
+		return 0, 0, io.ErrUnexpectedEOF
+	}
 	// Parse the remaining length inline.
-	n, shift, idx := 0, 0, 1
+	shift := 0
+	idx = 1
 	for {
 		if idx >= len(b) {
-			return nil, 0, io.ErrUnexpectedEOF
+			return 0, 0, io.ErrUnexpectedEOF
 		}
 		c := b[idx]
 		idx++
@@ -752,17 +770,16 @@ func Decode(b []byte) (Packet, int, error) {
 		}
 		shift += 7
 		if shift > 21 {
-			return nil, 0, fmt.Errorf("%w: remaining length overlong", ErrMalformedPacket)
+			return 0, 0, fmt.Errorf("%w: remaining length overlong", ErrMalformedPacket)
 		}
 	}
 	if n > MaxPacketSize {
-		return nil, 0, ErrPacketTooLarge
+		return 0, 0, ErrPacketTooLarge
 	}
 	if len(b) < idx+n {
-		return nil, 0, io.ErrUnexpectedEOF
+		return 0, 0, io.ErrUnexpectedEOF
 	}
-	p, err := decodePacket(first, b[idx:idx+n])
-	return p, idx + n, err
+	return idx, n, nil
 }
 
 func decodePacket(first byte, body []byte) (Packet, error) {

@@ -334,6 +334,9 @@ func TestSessionJournalCheckpointBounds(t *testing.T) {
 	}
 	<-done
 	waitFor(t, "a checkpoint", func() bool { return checkpoints.Value() >= 1 })
+	// The reader has sent its PUBACKs; wait until the broker has applied
+	// them, so the final snapshot holds no acked delivery.
+	waitFor(t, "every PUBACK applied", func() bool { return inflight(b) == 0 })
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -348,6 +351,23 @@ func TestSessionJournalCheckpointBounds(t *testing.T) {
 	if len(entries) > 40 {
 		t.Fatalf("journal not compacted: %d entries on disk", len(entries))
 	}
+}
+
+// inflight counts the unacknowledged QoS 1/2 deliveries of every session.
+func inflight(b *Broker) int {
+	b.mu.Lock()
+	sessions := make([]*session, 0, len(b.sessions))
+	for _, s := range b.sessions {
+		sessions = append(sessions, s)
+	}
+	b.mu.Unlock()
+	n := 0
+	for _, s := range sessions {
+		s.mu.Lock()
+		n += len(s.outbound)
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // TestSessionTakeoverRacingRedelivery (run under -race) pins the takeover

@@ -334,7 +334,7 @@ func TestBrokerFanoutAllocFree(t *testing.T) {
 			broker:   broker,
 			clientID: fmt.Sprintf("dev%d", i),
 			subs:     map[string]QoS{},
-			conn:     discardConn{},
+			out:      &connWriter{conn: discardConn{}},
 		}
 		filter := fmt.Sprintf("meters/agg1/device%d/report", i)
 		s.subs[filter] = QoS0
@@ -351,7 +351,7 @@ func TestBrokerFanoutAllocFree(t *testing.T) {
 		broker:   broker,
 		clientID: "tap",
 		subs:     map[string]QoS{"meters/agg1/+/report": QoS0},
-		conn:     discardConn{},
+		out:      &connWriter{conn: discardConn{}},
 	}
 	broker.sessions[wild.clientID] = wild
 	broker.subs.add("meters/agg1/+/report", wild, QoS0)

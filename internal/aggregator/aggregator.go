@@ -210,7 +210,6 @@ type Aggregator struct {
 
 	// counters
 	memberCount     atomic.Int64
-	reportsAccepted atomic.Uint64
 	reportsNacked   atomic.Uint64
 	blocksSealed    atomic.Uint64
 	recordsDropped  atomic.Uint64
@@ -356,9 +355,17 @@ func (a *Aggregator) Windows() []WindowReport {
 	return append([]WindowReport(nil), a.windows...)
 }
 
-// Stats returns (reportsAccepted, reportsNacked, blocksSealed).
+// Stats returns (reportsAccepted, reportsNacked, blocksSealed). Accepted
+// measurements are counted per shard under the shard lock the report path
+// already holds; Stats sums them.
 func (a *Aggregator) Stats() (uint64, uint64, uint64) {
-	return a.reportsAccepted.Load(), a.reportsNacked.Load(), a.blocksSealed.Load()
+	var accepted uint64
+	for _, sh := range a.shards {
+		sh.mu.Lock()
+		accepted += sh.accepted
+		sh.mu.Unlock()
+	}
+	return accepted, a.reportsNacked.Load(), a.blocksSealed.Load()
 }
 
 // DroppedRecords returns how many pending records the bounded seal backlog
@@ -765,8 +772,8 @@ func (a *Aggregator) onReport(m protocol.Report) {
 		st.LastSeq = ackSeq
 	}
 	home := st.Home
+	sh.accepted += uint64(accepted)
 	sh.mu.Unlock()
-	a.reportsAccepted.Add(uint64(accepted))
 	if a.mIngested != nil {
 		a.mIngested.Add(si, uint64(accepted))
 	}
@@ -901,13 +908,13 @@ func (a *Aggregator) onForwardReport(m protocol.ForwardReport) {
 	if maxSeq > st.LastSeq {
 		st.LastSeq = maxSeq
 	}
-	sh.mu.Unlock()
 	// On a shared ledger the forwarded measurements were already counted
 	// as accepted by the visited aggregator; counting the home-side
 	// recording again would double-report acceptance.
 	if !a.sharedLedger.Load() {
-		a.reportsAccepted.Add(uint64(n))
+		sh.accepted += uint64(n)
 	}
+	sh.mu.Unlock()
 }
 
 // onTransfer moves a master membership to a new home (sequence 3).

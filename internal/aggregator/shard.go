@@ -65,6 +65,9 @@ type ingestShard struct {
 	active   []*deviceState
 	departed map[string]departedAccum
 	pending  boundedRecords
+	// accepted counts the measurements this shard ingested (or recorded
+	// from a forward); Aggregator.Stats sums it across shards.
+	accepted uint64
 }
 
 func newShard(maxPending int) *ingestShard {

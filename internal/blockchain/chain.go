@@ -8,6 +8,9 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -81,17 +84,80 @@ func leafHashes(records []Record) []Hash {
 	return leaves
 }
 
-// leafHashesScratch computes leaf hashes into the chain's reusable buffer.
-// The result is only valid until the next call.
-func (c *Chain) leafHashesScratch(records []Record) []Hash {
-	if cap(c.leafBuf) < len(records) {
-		c.leafBuf = make([]Hash, len(records))
+// Striped root parameters. A block of at least parallelRootMin records is
+// hashed by GOMAXPROCS workers in stripes of rootStripe leaves; smaller
+// blocks (and GOMAXPROCS=1) take the sequential fold.
+const (
+	parallelRootMin = 1024
+	rootStripeLog   = 8
+	rootStripe      = 1 << rootStripeLog
+)
+
+// recordsRoot is the Merkle root of records, computed in the chain's
+// reusable scratch buffers. It is the one root function behind Seal,
+// PrepareBlockAt, AppendUnsealed, validateLink and Verify.
+//
+// Large blocks are split into rootStripe-aligned stripes. Workers claim
+// stripes, hash their leaves into disjoint ranges of leafBuf and fold each
+// stripe to its subtree root; the stripe roots are then folded
+// sequentially. Because every full stripe starts at a multiple of
+// rootStripe, the sequential fold pairs its nodes exactly as the stripe
+// fold does and sees the same level parities (the stripe offset is even
+// at every level below the stripe root), so the root is bit-identical to
+// MerkleRoot(leafHashes(records)).
+func (c *Chain) recordsRoot(records []Record) Hash {
+	n := len(records)
+	if n == 0 {
+		return Hash{}
 	}
-	leaves := c.leafBuf[:len(records)]
-	for i, r := range records {
-		leaves[i], c.marshalBuf = hashRecordInto(r, c.marshalBuf[:0])
+	if cap(c.leafBuf) < n {
+		c.leafBuf = make([]Hash, n)
 	}
-	return leaves
+	leaves := c.leafBuf[:n]
+	workers := runtime.GOMAXPROCS(0)
+	stripes := (n + rootStripe - 1) >> rootStripeLog
+	if workers > stripes {
+		workers = stripes
+	}
+	if len(c.marshalBufs) < workers {
+		c.marshalBufs = append(c.marshalBufs, make([][]byte, workers-len(c.marshalBufs))...)
+	}
+	if n < parallelRootMin || workers < 2 {
+		buf := c.marshalBufs[0]
+		for i, r := range records {
+			leaves[i], buf = hashRecordInto(r, buf[:0])
+		}
+		c.marshalBufs[0] = buf
+		return merkleRootInPlace(leaves)
+	}
+
+	var next atomic.Int64
+	hashStripes := func(w int) {
+		buf := c.marshalBufs[w]
+		for s := int(next.Add(1) - 1); s < stripes; s = int(next.Add(1) - 1) {
+			lo := s << rootStripeLog
+			hi := min(lo+rootStripe, n)
+			for i := lo; i < hi; i++ {
+				leaves[i], buf = hashRecordInto(records[i], buf[:0])
+			}
+			leaves[lo] = merkleRootInPlace(leaves[lo:hi])
+		}
+		c.marshalBufs[w] = buf
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			hashStripes(w)
+		}()
+	}
+	hashStripes(0)
+	wg.Wait()
+	for s := 1; s < stripes; s++ {
+		leaves[s] = leaves[s<<rootStripeLog]
+	}
+	return merkleRootInPlace(leaves[:stripes])
 }
 
 // Signer produces blocks for one aggregator identity.
@@ -174,8 +240,9 @@ type Chain struct {
 	// Seal/verify scratch, reused across calls so steady-state sealing
 	// hashes without growing the heap. Chain is not safe for concurrent
 	// use; callers (aggregator, meterd) serialize access already.
-	leafBuf    []Hash
-	marshalBuf []byte
+	leafBuf []Hash
+	// marshalBufs holds one record-marshalling scratch per root worker.
+	marshalBufs [][]byte
 	// unsigned counts appended blocks whose deferred signature has not
 	// attached yet (see AppendUnsealed).
 	unsigned int
@@ -218,7 +285,7 @@ func (c *Chain) Seal(s *Signer, at time.Time, records []Record) (*Block, error) 
 	hdr := Header{
 		Index:      index,
 		PrevHash:   prev,
-		MerkleRoot: merkleRootInPlace(c.leafHashesScratch(records)),
+		MerkleRoot: c.recordsRoot(records),
 		Timestamp:  at.UTC(),
 		Producer:   s.ID(),
 	}
@@ -261,7 +328,7 @@ func (c *Chain) PrepareBlockAt(s *Signer, at time.Time, index uint64, prev Hash,
 	hdr := Header{
 		Index:      index,
 		PrevHash:   prev,
-		MerkleRoot: merkleRootInPlace(c.leafHashesScratch(records)),
+		MerkleRoot: c.recordsRoot(records),
 		Timestamp:  at.UTC(),
 		Producer:   s.ID(),
 	}
@@ -288,7 +355,7 @@ func (c *Chain) AppendUnsealed(producer string, at time.Time, records []Record) 
 	hdr := Header{
 		Index:      index,
 		PrevHash:   prev,
-		MerkleRoot: merkleRootInPlace(c.leafHashesScratch(records)),
+		MerkleRoot: c.recordsRoot(records),
 		Timestamp:  at.UTC(),
 		Producer:   producer,
 	}
@@ -340,7 +407,7 @@ func (c *Chain) validateLink(b *Block, wantPrev Hash, wantIndex uint64) error {
 	if b.Header.Index != wantIndex {
 		return fmt.Errorf("%w: got %d, want %d", ErrBadIndex2, b.Header.Index, wantIndex)
 	}
-	if b.Header.MerkleRoot != merkleRootInPlace(c.leafHashesScratch(b.Records)) {
+	if b.Header.MerkleRoot != c.recordsRoot(b.Records) {
 		return ErrBadMerkleRoot
 	}
 	return nil
@@ -416,7 +483,7 @@ func (c *Chain) Verify() (int, error) {
 		if b.Header.Index != uint64(i) {
 			return i, fmt.Errorf("%w: block %d: %v", ErrTampered, i, ErrBadIndex2)
 		}
-		if b.Header.MerkleRoot != merkleRootInPlace(c.leafHashesScratch(b.Records)) {
+		if b.Header.MerkleRoot != c.recordsRoot(b.Records) {
 			return i, fmt.Errorf("%w: block %d: %v", ErrTampered, i, ErrBadMerkleRoot)
 		}
 		if c.authority != nil {

@@ -205,13 +205,29 @@ func (h *Histogram) Summary() (count uint64, mean, min, max float64) {
 		math.Float64frombits(h.maxBits.Load())
 }
 
-// Quantile estimates the q-quantile (0..1) from the bucket midpoints.
+// Quantile estimates the q-quantile (0..1) from the bucket midpoints,
+// clamped to the observed [min, max]: a bucket midpoint can lie outside
+// the values that actually landed in it (a p95 above the maximum, or the
+// first bound for values far below it).
 func (h *Histogram) Quantile(q float64) float64 {
 	total := h.total.Load()
 	if total == 0 {
 		return 0
 	}
+	minSeen := math.Float64frombits(h.minBits.Load())
 	maxSeen := math.Float64frombits(h.maxBits.Load())
+	v := h.bucketQuantile(q, total, maxSeen)
+	// A concurrent first Observe may have counted before publishing its
+	// min/max; clamp only once both are real.
+	if minSeen <= maxSeen {
+		v = min(max(v, minSeen), maxSeen)
+	}
+	return v
+}
+
+// bucketQuantile is the unclamped bucket estimate of the q-quantile over
+// total observations.
+func (h *Histogram) bucketQuantile(q float64, total uint64, maxSeen float64) float64 {
 	target := uint64(math.Ceil(q * float64(total)))
 	if target == 0 {
 		target = 1

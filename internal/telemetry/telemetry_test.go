@@ -85,6 +85,49 @@ func TestHistogramQuantileZeroBounds(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileKnownDistributions checks quantiles over the stage
+// latency buckets against distributions whose answer is known. Bucket
+// midpoints that fall outside the observed range are clamped to it.
+func TestHistogramQuantileKnownDistributions(t *testing.T) {
+	repeat := func(v float64, n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	uniform := make([]float64, 1000)
+	for i := range uniform {
+		uniform[i] = float64(i + 1)
+	}
+	cases := []struct {
+		name          string
+		values        []float64
+		p50, p95, p99 float64
+	}{
+		{"constant", repeat(42, 100), 42, 42, 42},
+		// Every value under the first bound (10): not 10.
+		{"sub-first-bound", []float64{2, 3, 3, 4}, 4, 4, 4},
+		// The tail's bucket midpoint (37500) is above the largest value.
+		{"tail-above-max", append(repeat(1000, 90), repeat(32651, 10)...), 1000, 32651, 32651},
+		// Well inside the range the midpoints stand.
+		{"uniform-1..1000", uniform, 375, 750, 750},
+		// Past the last bound the estimate is the maximum.
+		{"overflow", []float64{2e6, 3e6, 4e6}, 4e6, 4e6, 4e6},
+	}
+	for _, tc := range cases {
+		h := NewHistogram(stageBoundsUs)
+		for _, v := range tc.values {
+			h.Observe(v)
+		}
+		for _, q := range []struct{ q, want float64 }{{0.50, tc.p50}, {0.95, tc.p95}, {0.99, tc.p99}} {
+			if got := h.Quantile(q.q); got != q.want {
+				t.Errorf("%s: p%v = %v, want %v", tc.name, q.q*100, got, q.want)
+			}
+		}
+	}
+}
+
 func TestSeriesRing(t *testing.T) {
 	s := NewSeries("current", 3)
 	for i := 0; i < 5; i++ {

@@ -46,12 +46,18 @@ go test -run '^$' -bench "$benches" -benchmem ${benchtime_args[@]+"${benchtime_a
 go test -run '^$' -bench 'BenchmarkAggregatorIngestSharded' -benchmem -cpu 1,2,4 \
     ${benchtime_args[@]+"${benchtime_args[@]}"} . | tee -a "$raw"
 
+# One replica's group commit in the replicated seal round (4 blocks x 4096
+# records): its Merkle roots are striped across GOMAXPROCS workers, so the
+# report pins the single-core and the two-core point.
+go test -run '^$' -bench 'BenchmarkChainImportBatch' -benchmem -cpu 1,2 \
+    ${benchtime_args[@]+"${benchtime_args[@]}"} . | tee -a "$raw"
+
 emit_json() {
     awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v rev="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" '
     BEGIN { n = 0 }
     /^Benchmark/ {
         name = $1
-        if (name ~ /^BenchmarkAggregatorIngestSharded\//) {
+        if (name ~ /^(BenchmarkAggregatorIngestSharded\/|BenchmarkChainImportBatch)/) {
             # go test only appends -N when GOMAXPROCS != 1.
             cpus = "1"
             if (match(name, /-[0-9]+$/)) {
